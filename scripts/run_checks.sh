@@ -7,24 +7,28 @@
 #      thread-safety analysis sees every acquisition.
 #   2. Escape-hatch budget: at most 5 NO_THREAD_SAFETY_ANALYSIS uses in src/,
 #      each carrying a justification comment on the same or preceding line.
-#   3. Clang thread-safety analysis: build the tidy preset with
+#   3. Grep gate: no raw time / randomness primitives outside src/common/.
+#   4. Thread budget: at most 5 std::thread construction sites in src/
+#      outside src/common/ — the queue-driven event loops. Periodic work
+#      goes through common/periodic_thread.h instead.
+#   5. Clang thread-safety analysis: build the tidy preset with
 #      -Wthread-safety -Wthread-safety-beta as errors. Loud skip when clang
 #      is not installed (gcc-only containers).
-#   4. clang-tidy lint (scripts/run_lint.sh; loud skip without clang-tidy).
-#   5. Lockdep soak: debug build (NDEBUG unset => runtime lock-order checker
+#   6. clang-tidy lint (scripts/run_lint.sh; loud skip without clang-tidy).
+#   7. Lockdep soak: debug build (NDEBUG unset => runtime lock-order checker
 #      compiled in), full ctest suite plus the seeded chaos soak. Any cycle
 #      in the lock-order graph aborts with both acquisition stacks.
 #
 # Usage: run_checks.sh [quick]
-#   quick — grep gates only (checks 1-3); used by run_tier1.sh so every CI
+#   quick — grep gates only (checks 1-4); used by run_tier1.sh so every CI
 #   run enforces the annotation discipline even without clang or a debug
-#   build. The full six-gate run is the pre-merge bar.
+#   build. The full seven-gate run is the pre-merge bar.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MODE="${1:-full}"
 
-echo "== check 1/6: raw sync primitives outside common/sync.h =="
+echo "== check 1/7: raw sync primitives outside common/sync.h =="
 # Strip // comments before matching so prose mentioning std::mutex (e.g. the
 # layout notes in lockdep.h) doesn't trip the gate.
 raw_hits=$(grep -rnE 'std::(mutex|shared_mutex|lock_guard|unique_lock|shared_lock|condition_variable(_any)?)' \
@@ -40,7 +44,7 @@ if [[ -n "$raw_hits" ]]; then
 fi
 echo "OK: all locking goes through ray::Mutex / ray::SharedMutex"
 
-echo "== check 2/6: NO_THREAD_SAFETY_ANALYSIS budget =="
+echo "== check 2/7: NO_THREAD_SAFETY_ANALYSIS budget =="
 nts_hits=$(grep -rn 'NO_THREAD_SAFETY_ANALYSIS' src/ --include='*.h' --include='*.cc' \
   | grep -v '^src/common/sync\.h:' || true)
 nts_count=$(printf '%s' "$nts_hits" | grep -c . || true)
@@ -60,7 +64,7 @@ while IFS=: read -r file line _; do
 done <<< "$nts_hits"
 echo "OK: $nts_count/5 escape hatches, all justified"
 
-echo "== check 3/6: raw time / randomness primitives outside src/common/ =="
+echo "== check 3/7: raw time / randomness primitives outside src/common/ =="
 # Everything that observes wall-clock time, sleeps, or draws entropy must go
 # through the hookable seams in src/common/ (clock.h NowMicros/SleepMicros,
 # random.h Rng) so deterministic-schedule testing (common/dst.h) can virtualise
@@ -81,12 +85,35 @@ if [[ -n "$time_hits" ]]; then
 fi
 echo "OK: all time and entropy flows through the hookable seams in src/common/"
 
+echo "== check 4/7: std::thread construction budget outside src/common/ =="
+# Counts expressions that construct a thread object (`std::thread(...)`,
+# `std::thread t(...)`). The budget is the five queue-driven event loops:
+# GCS flusher, pub-sub workers, PullManager, SimNetwork completion and the
+# Router event loop. A new periodic loop uses ray::PeriodicThread. Fork-join
+# fan-outs that emplace into a std::vector<std::thread> and join before
+# returning (load generators, baselines) are not counted. Comments are
+# stripped with the same idiom as check 1.
+thread_hits=$(grep -rnE 'std::thread(\s+[A-Za-z_][A-Za-z0-9_]*)?\s*[({]' \
+  src/ --include='*.h' --include='*.cc' \
+  | grep -v '^src/common/' \
+  | grep -vE ':[0-9]+:\s*//' \
+  | sed -E 's/([0-9]+:).*\/\/.*std::thread.*/\1 COMMENT/' \
+  | grep -v 'COMMENT$' || true)
+thread_count=$(printf '%s' "$thread_hits" | grep -c . || true)
+if (( thread_count > 5 )); then
+  echo "FAIL: $thread_count std::thread construction sites outside src/common/ (budget: 5):" >&2
+  echo "$thread_hits" >&2
+  echo "Periodic work belongs on ray::PeriodicThread (common/periodic_thread.h)." >&2
+  exit 1
+fi
+echo "OK: $thread_count/5 std::thread construction sites outside src/common/"
+
 if [[ "$MODE" == "quick" ]]; then
   echo "run_checks: quick mode — grep gates passed (run without 'quick' for the full bar)"
   exit 0
 fi
 
-echo "== check 4/6: clang thread-safety analysis (tidy preset) =="
+echo "== check 5/7: clang thread-safety analysis (tidy preset) =="
 if command -v clang++ >/dev/null 2>&1; then
   cmake --preset tidy >/dev/null
   cmake --build --preset tidy -j"$(nproc)"
@@ -96,10 +123,10 @@ else
   echo "Install LLVM (clang) to verify GUARDED_BY/REQUIRES annotations compile-time." >&2
 fi
 
-echo "== check 5/6: clang-tidy lint =="
+echo "== check 6/7: clang-tidy lint =="
 ./scripts/run_lint.sh
 
-echo "== check 6/6: lockdep soak (debug build) =="
+echo "== check 7/7: lockdep soak (debug build) =="
 cmake --preset debug >/dev/null
 cmake --build --preset debug -j"$(nproc)"
 ctest --test-dir build-debug --output-on-failure -j"$(nproc)"

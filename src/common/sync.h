@@ -20,8 +20,10 @@
 #ifndef RAY_COMMON_SYNC_H_
 #define RAY_COMMON_SYNC_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <shared_mutex>
 
@@ -309,10 +311,14 @@ class CondVar {
     bool notified = false;
     if (dst::TimeHooksActive()) {
       // A native thread cannot wait on virtual/skewed time: wait in short
-      // real slices and re-check the hooked deadline between them.
+      // real slices and re-check the hooked deadline between them. A notify
+      // that lands between two slices (while this thread holds the mutex)
+      // would be lost, so notifiers also bump the epoch read on entry here.
+      const uint64_t epoch = notify_epoch_.load(std::memory_order_acquire);
       while (NowMicros() < deadline_us) {
         if (cv_.wait_for(native, std::chrono::milliseconds(1)) ==
-            std::cv_status::no_timeout) {
+                std::cv_status::no_timeout ||
+            notify_epoch_.load(std::memory_order_acquire) != epoch) {
           notified = true;
           break;
         }
@@ -330,10 +336,12 @@ class CondVar {
   }
 
   void NotifyOne() {
+    notify_epoch_.fetch_add(1, std::memory_order_release);
     cv_.notify_one();
     fiber_waiters_.WakeOne();
   }
   void NotifyAll() {
+    notify_epoch_.fetch_add(1, std::memory_order_release);
     cv_.notify_all();
     fiber_waiters_.WakeAll();
   }
@@ -373,6 +381,9 @@ class CondVar {
 
   std::condition_variable cv_;
   fiber::WaitQueue fiber_waiters_;
+  // Bumped by every notify; lets the sliced native wait (time hooks active)
+  // see a notify that arrived while it was between slices.
+  std::atomic<uint64_t> notify_epoch_{0};
 };
 
 // ---------------------------------------------------------------------------

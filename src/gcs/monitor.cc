@@ -127,40 +127,13 @@ GcsMonitor::GcsMonitor(GcsTables* tables, const MonitorConfig& config)
   detection_bound_us_ =
       static_cast<int64_t>(config_.miss_threshold) *
       (config_.heartbeat_interval_us + kSlackMultiplier * SchedulingSlackUs());
-  sweep_interval_us_ = config_.sweep_interval_us > 0
-                           ? config_.sweep_interval_us
-                           : std::max<int64_t>(1'000, config_.heartbeat_interval_us / 4);
-  sweep_thread_ = std::thread([this] { SweepLoop(); });
+  const int64_t sweep_interval_us =
+      config_.sweep_interval_us > 0 ? config_.sweep_interval_us
+                                    : std::max<int64_t>(1'000, config_.heartbeat_interval_us / 4);
+  sweeper_.emplace(sweep_interval_us, [this] { Sweep(NowMicros()); });
 }
 
-GcsMonitor::~GcsMonitor() { Stop(); }
-
-void GcsMonitor::Stop() {
-  {
-    MutexLock lock(stop_mu_);
-    if (stop_) {
-      return;
-    }
-    stop_ = true;
-    stop_cv_.NotifyAll();
-  }
-  if (sweep_thread_.joinable()) {
-    sweep_thread_.join();
-  }
-}
-
-void GcsMonitor::SweepLoop() {
-  MutexLock lock(stop_mu_);
-  while (!stop_) {
-    stop_cv_.WaitFor(stop_mu_, std::chrono::microseconds(sweep_interval_us_));
-    if (stop_) {
-      return;
-    }
-    lock.Unlock();
-    Sweep(NowMicros());
-    lock.Lock();
-  }
-}
+void GcsMonitor::Stop() { sweeper_->Stop(); }
 
 void GcsMonitor::Sweep(int64_t now_us) {
   const int64_t stale_after = DetectionBoundUs();

@@ -31,11 +31,12 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <thread>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/id.h"
+#include "common/periodic_thread.h"
 #include "common/sync.h"
 #include "gcs/tables.h"
 
@@ -103,7 +104,6 @@ struct MonitorConfig {
 class GcsMonitor {
  public:
   GcsMonitor(GcsTables* tables, const MonitorConfig& config);
-  ~GcsMonitor();
 
   GcsMonitor(const GcsMonitor&) = delete;
   GcsMonitor& operator=(const GcsMonitor&) = delete;
@@ -131,22 +131,17 @@ class GcsMonitor {
     int64_t last_change_us = 0;  // when the monitor last saw seq advance
   };
 
-  void SweepLoop();
   void Sweep(int64_t now_us);
   void DeclareDead(const NodeId& node);
 
   GcsTables* tables_;
   MonitorConfig config_;
-  int64_t sweep_interval_us_;
   int64_t detection_bound_us_ = 0;  // fixed at construction (see ctor)
 
   std::unordered_map<NodeId, Observed> observed_;  // sweep-thread private
   std::atomic<uint64_t> deaths_declared_{0};
 
-  Mutex stop_mu_{"GcsMonitor.stop_mu"};
-  CondVar stop_cv_;
-  bool stop_ GUARDED_BY(stop_mu_) = false;
-  std::thread sweep_thread_;
+  std::optional<PeriodicThread> sweeper_;  // started last, in the ctor body
 };
 
 }  // namespace gcs

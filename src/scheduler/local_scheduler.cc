@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/clock.h"
-#include "common/dst.h"
 #include "common/logging.h"
 
 namespace ray {
@@ -70,13 +69,19 @@ void LocalScheduler::Start(Executor executor, ActorDispatcher actor_dispatcher) 
     worker_fibers_.push_back(fibers_->Spawn([this] { WorkerLoop(); }));
   }
   ReportHeartbeat();
-  heartbeat_thread_ = std::thread([this] { HeartbeatLoop(); });
+  // Tagging the reporter thread (not the whole node) keeps the fault
+  // surgical: only heartbeat timing sees the skewed clock.
+  heartbeat_.emplace(config_.heartbeat_interval_us, [this] { HeartbeatTick(); },
+                     config_.clock_domain);
 }
 
 void LocalScheduler::Shutdown() {
   bool expected = false;
   if (!shutdown_.compare_exchange_strong(expected, true)) {
     return;
+  }
+  if (heartbeat_) {
+    heartbeat_->Stop();
   }
   dispatch_queue_.Close();
   // Kill all leases: callers' SubmitOnLease fails fast from here on, and no
@@ -96,9 +101,6 @@ void LocalScheduler::Shutdown() {
     }
   }
   worker_fibers_.clear();
-  if (heartbeat_thread_.joinable()) {
-    heartbeat_thread_.join();
-  }
   if (fetch_pool_) {
     fetch_pool_->Shutdown();
   }
@@ -759,29 +761,20 @@ void LocalScheduler::OnPeerDeath(const NodeId& node) {
   }
 }
 
-void LocalScheduler::HeartbeatLoop() {
-  // Tagging the reporter thread (not the whole node) keeps the fault
-  // surgical: only heartbeat timing sees the skewed clock.
-  dst::SetCurrentClockDomain(config_.clock_domain);
-  while (!shutdown_.load(std::memory_order_relaxed)) {
-    SleepMicros(config_.heartbeat_interval_us);
-    if (shutdown_.load(std::memory_order_relaxed)) {
-      return;
-    }
-    ReportHeartbeat();
-    ReapLeases();
-    // Rescue runs off-thread: re-forwarding to the global scheduler can block
-    // (it retries placement under churn), and a stalled heartbeat loop would
-    // get this node falsely declared dead. Single-flight: skip the tick if
-    // the previous rescue is still running rather than piling them up.
-    bool expected = false;
-    if (rescue_inflight_.compare_exchange_strong(expected, true)) {
-      if (!fetch_pool_->Submit([this] {
-            RescueStrandedTasks();
-            rescue_inflight_.store(false, std::memory_order_release);
-          })) {
-        rescue_inflight_.store(false, std::memory_order_release);
-      }
+void LocalScheduler::HeartbeatTick() {
+  ReportHeartbeat();
+  ReapLeases();
+  // Rescue runs off-thread: re-forwarding to the global scheduler can block
+  // (it retries placement under churn), and a stalled heartbeat loop would
+  // get this node falsely declared dead. Single-flight: skip the tick if
+  // the previous rescue is still running rather than piling them up.
+  bool expected = false;
+  if (rescue_inflight_.compare_exchange_strong(expected, true)) {
+    if (!fetch_pool_->Submit([this] {
+          RescueStrandedTasks();
+          rescue_inflight_.store(false, std::memory_order_release);
+        })) {
+      rescue_inflight_.store(false, std::memory_order_release);
     }
   }
 }

@@ -28,7 +28,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <thread>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -36,6 +36,7 @@
 #include "common/fiber.h"
 #include "common/id.h"
 #include "common/metrics.h"
+#include "common/periodic_thread.h"
 #include "common/queue.h"
 #include "common/status.h"
 #include "common/sync.h"
@@ -245,7 +246,7 @@ class LocalScheduler {
   // reconstruction (producer or every replica dead). Runs on fetch_pool_.
   void HandlePullFailure(const ObjectId& object, const Status& status);
   void WorkerLoop();
-  void HeartbeatLoop();
+  void HeartbeatTick();
   void RescueStrandedTasks();
   void FinishTask(const TaskSpec& spec, double duration_s);
   // Serially executes `lease`'s pipelined tasks until it is empty.
@@ -321,7 +322,7 @@ class LocalScheduler {
   std::unique_ptr<fiber::FiberScheduler> fibers_;
   std::vector<std::shared_ptr<fiber::Fiber>> worker_fibers_;
   std::unique_ptr<ThreadPool> fetch_pool_;
-  std::thread heartbeat_thread_;
+  std::optional<PeriodicThread> heartbeat_;  // engaged by Start()
   std::atomic<bool> shutdown_{false};
   std::atomic<bool> rescue_inflight_{false};
 

@@ -10,43 +10,11 @@ namespace ray {
 namespace serve {
 
 Autoscaler::Autoscaler(Router* router, const AutoscalerConfig& config)
-    : router_(router), config_(config) {
-  thread_ = std::thread([this] { Loop(); });
-}
+    : router_(router),
+      config_(config),
+      ticker_(config_.tick_us, [this] { Evaluate(NowMicros()); }) {}
 
-Autoscaler::~Autoscaler() { Stop(); }
-
-void Autoscaler::Stop() {
-  {
-    MutexLock lock(mu_);
-    if (stop_) {
-      return;
-    }
-    stop_ = true;
-    cv_.NotifyAll();
-  }
-  if (thread_.joinable()) {
-    thread_.join();
-  }
-}
-
-void Autoscaler::Loop() {
-  for (;;) {
-    {
-      const int64_t deadline_us = NowMicros() + config_.tick_us;
-      MutexLock lock(mu_);
-      while (!stop_) {
-        if (!cv_.WaitUntilMicros(mu_, deadline_us)) {
-          break;
-        }
-      }
-      if (stop_) {
-        return;
-      }
-    }
-    Evaluate(NowMicros());
-  }
-}
+void Autoscaler::Stop() { ticker_.Stop(); }
 
 void Autoscaler::Evaluate(int64_t now) {
   int healthy = router_->NumHealthyReplicas();

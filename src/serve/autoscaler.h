@@ -21,10 +21,9 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <thread>
 
 #include "common/metrics.h"
-#include "common/sync.h"
+#include "common/periodic_thread.h"
 #include "serve/router.h"
 
 namespace ray {
@@ -47,7 +46,6 @@ struct AutoscalerConfig {
 class Autoscaler {
  public:
   Autoscaler(Router* router, const AutoscalerConfig& config);
-  ~Autoscaler();
 
   Autoscaler(const Autoscaler&) = delete;
   Autoscaler& operator=(const Autoscaler&) = delete;
@@ -59,7 +57,6 @@ class Autoscaler {
   int LastTarget() const { return last_target_.load(std::memory_order_relaxed); }
 
  private:
-  void Loop();
   void Evaluate(int64_t now);
 
   Router* router_;
@@ -71,10 +68,7 @@ class Autoscaler {
   int64_t last_up_us_ = 0;    // loop-thread only
   int64_t last_down_us_ = 0;  // loop-thread only
 
-  std::thread thread_;
-  Mutex mu_{"Autoscaler.mu"};
-  CondVar cv_;
-  bool stop_ GUARDED_BY(mu_) = false;
+  PeriodicThread ticker_;  // last member: starts after the state above
 };
 
 }  // namespace serve

@@ -16,7 +16,12 @@ Router::Router(Ray ray, const RouterConfig& config)
       admission_budget_us_(
           static_cast<int64_t>(config.admission_slo_fraction * static_cast<double>(config.slo_us))),
       service_ema_us_(config.replica_service_us),
-      latency_(config.stats_window_us) {
+      latency_(config.stats_window_us),
+      ticker_(config_.tick_us, [this] {
+        Event ev;
+        ev.kind = Event::Kind::kTick;
+        queue_.Push(ev);
+      }) {
   dispatch_pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(config_.dispatch_threads));
   // Node deaths reach the loop through the Node Table's membership channel —
   // the same death notifications the rest of the runtime keys failover on.
@@ -31,7 +36,6 @@ Router::Router(Ray ray, const RouterConfig& config)
       });
   last_publish_us_ = NowMicros();
   loop_thread_ = std::thread([this] { Loop(); });
-  tick_thread_ = std::thread([this] { TickLoop(); });
 }
 
 Router::~Router() { Stop(); }
@@ -56,14 +60,7 @@ void Router::Stop() {
   }
   stopping_.store(true, std::memory_order_release);
   ray_.cluster().tables().nodes.UnsubscribeMembership(membership_token_);
-  {
-    MutexLock lock(tick_mu_);
-    tick_stop_ = true;
-    tick_cv_.NotifyAll();
-  }
-  if (tick_thread_.joinable()) {
-    tick_thread_.join();
-  }
+  ticker_.Stop();
   // Drain dispatch jobs first: each one still pushes its kDispatched event
   // (the queue is open), so the loop's drain below learns every subscription
   // token and can release it.
@@ -133,26 +130,6 @@ void Router::RemoveReplica() {
   Event ev;
   ev.kind = Event::Kind::kRemoveReplica;
   queue_.Push(ev);
-}
-
-void Router::TickLoop() {
-  for (;;) {
-    {
-      const int64_t deadline_us = NowMicros() + config_.tick_us;
-      MutexLock lock(tick_mu_);
-      while (!tick_stop_) {
-        if (!tick_cv_.WaitUntilMicros(tick_mu_, deadline_us)) {
-          break;
-        }
-      }
-      if (tick_stop_) {
-        return;
-      }
-    }
-    Event ev;
-    ev.kind = Event::Kind::kTick;
-    queue_.Push(ev);
-  }
 }
 
 void Router::Loop() {

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/periodic_thread.h"
 #include "common/queue.h"
 #include "common/thread_pool.h"
 #include "runtime/api.h"
@@ -153,7 +154,6 @@ class Router {
   };
 
   void Loop();
-  void TickLoop();
   void HandleRequest(const Event& ev);
   // Assigns the request to the least-loaded routable replica (inflight <
   // cap) and spawns the dispatch job; queues it when no replica has room.
@@ -212,10 +212,7 @@ class Router {
   std::atomic<bool> stopping_{false};
   std::atomic<bool> stopped_{false};
   std::thread loop_thread_;
-  std::thread tick_thread_;
-  Mutex tick_mu_{"Router.tick_mu"};
-  CondVar tick_cv_;
-  bool tick_stop_ GUARDED_BY(tick_mu_) = false;
+  PeriodicThread ticker_;  // pushes kTick every tick_us
 };
 
 }  // namespace serve

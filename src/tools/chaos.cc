@@ -1,7 +1,6 @@
 #include "tools/chaos.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/clock.h"
 #include "common/logging.h"
@@ -17,28 +16,16 @@ ChaosSchedule::~ChaosSchedule() { Stop(); }
 void ChaosSchedule::Protect(const NodeId& node) { protected_.insert(node); }
 
 void ChaosSchedule::Start() {
-  {
-    MutexLock lock(stop_mu_);
-    if (!stop_) {
-      return;
-    }
-    stop_ = false;
+  if (!ticker_) {
+    ticker_.emplace(config_.tick_interval_us, [this] { Tick(); });
   }
-  thread_ = std::thread([this] { Loop(); });
 }
 
 void ChaosSchedule::Stop() {
-  {
-    MutexLock lock(stop_mu_);
-    if (stop_) {
-      return;
-    }
-    stop_ = true;
-    stop_cv_.NotifyAll();
+  if (!ticker_) {
+    return;
   }
-  if (thread_.joinable()) {
-    thread_.join();
-  }
+  ticker_.reset();  // joins: no Tick() runs past here
   // Heal the world: outstanding partitions and throttles are lifted, pending
   // rejoins land now, and the wire-level chaos knobs go quiet, so whatever
   // the workload still has in flight can drain against a healthy fabric.
@@ -85,19 +72,6 @@ std::vector<NodeId> ChaosSchedule::KillableNodes() {
                                 [&](const NodeId& id) { return protected_.count(id) > 0; }),
                  killable.end());
   return killable;
-}
-
-void ChaosSchedule::Loop() {
-  MutexLock lock(stop_mu_);
-  while (!stop_) {
-    stop_cv_.WaitFor(stop_mu_, std::chrono::microseconds(config_.tick_interval_us));
-    if (stop_) {
-      return;
-    }
-    lock.Unlock();
-    Tick();
-    lock.Lock();
-  }
 }
 
 void ChaosSchedule::Tick() {

@@ -13,12 +13,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <thread>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/id.h"
+#include "common/periodic_thread.h"
 #include "common/random.h"
 #include "common/sync.h"
 #include "runtime/cluster.h"
@@ -71,7 +72,6 @@ class ChaosSchedule {
   Stats stats() const;
 
  private:
-  void Loop();
   void Tick();
   // Nodes currently alive and not protected (snapshot; may go stale).
   std::vector<NodeId> KillableNodes();
@@ -90,10 +90,7 @@ class ChaosSchedule {
   mutable Mutex mu_{"ChaosSchedule.mu"};  // loop state is loop-thread-only
   Stats stats_ GUARDED_BY(mu_);
 
-  Mutex stop_mu_{"ChaosSchedule.stop_mu"};
-  CondVar stop_cv_;
-  bool stop_ GUARDED_BY(stop_mu_) = true;
-  std::thread thread_;
+  std::optional<PeriodicThread> ticker_;  // engaged between Start() and Stop()
 };
 
 }  // namespace tools

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 
 #include "common/fiber.h"
 #include "common/logging.h"
@@ -263,42 +264,20 @@ uint64_t Tracer::EventsDropped() const {
 }
 
 HangWatchdog::HangWatchdog(int64_t timeout_us, std::string dump_path)
-    : dump_path_(std::move(dump_path)) {
-  thread_ = std::thread([this, timeout_us] {
-    const int64_t deadline_us = NowMicros() + timeout_us;
-    MutexLock lock(mu_);
-    while (!disarmed_.load(std::memory_order_acquire)) {
-      if (!cv_.WaitUntilMicros(mu_, deadline_us)) {
-        break;  // timed out
-      }
-    }
-    if (disarmed_.load(std::memory_order_acquire)) {
-      return;
-    }
-    lock.Unlock();
-    RAY_LOG(ERROR) << "hang watchdog fired after " << timeout_us
-                   << "us; dumping flight record to " << dump_path_;
-    DumpFlightRecord(dump_path_, "hang-watchdog");
-    fired_.store(true, std::memory_order_release);
-  });
-}
+    : dump_path_(std::move(dump_path)),
+      timer_(timeout_us, [this, timeout_us] {
+        // One-shot: the timer keeps expiring every timeout_us until Disarm,
+        // but only the first expiry dumps.
+        if (fired_.load(std::memory_order_acquire)) {
+          return;
+        }
+        RAY_LOG(ERROR) << "hang watchdog fired after " << timeout_us
+                       << "us; dumping flight record to " << dump_path_;
+        DumpFlightRecord(dump_path_, "hang-watchdog");
+        fired_.store(true, std::memory_order_release);
+      }) {}
 
-HangWatchdog::~HangWatchdog() {
-  Disarm();
-  if (thread_.joinable()) {
-    thread_.join();
-  }
-}
-
-void HangWatchdog::Disarm() {
-  {
-    // Notify under the lock: the watchdog thread owns no reference that keeps
-    // this object alive once it observes disarmed_.
-    MutexLock lock(mu_);
-    disarmed_.store(true, std::memory_order_release);
-    cv_.NotifyAll();
-  }
-}
+void HangWatchdog::Disarm() { timer_.Stop(); }
 
 }  // namespace trace
 }  // namespace ray

@@ -36,12 +36,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/id.h"
+#include "common/periodic_thread.h"
 #include "common/sync.h"
 
 namespace ray {
@@ -260,18 +260,15 @@ class Span {
 class HangWatchdog {
  public:
   HangWatchdog(int64_t timeout_us, std::string dump_path);
-  ~HangWatchdog();
 
+  // Cancels the dump; waits out one already in progress.
   void Disarm();
   bool Fired() const { return fired_.load(std::memory_order_acquire); }
 
  private:
   std::string dump_path_;
-  std::atomic<bool> disarmed_{false};
   std::atomic<bool> fired_{false};
-  Mutex mu_{"HangWatchdog.mu"};
-  CondVar cv_;
-  std::thread thread_;
+  PeriodicThread timer_;  // last member: its tick reads the two above
 };
 
 }  // namespace trace

@@ -1,17 +1,21 @@
 // Unit tests for src/common: ids, status/result, buffers, serialization,
-// resources, metrics, queues, sync, and the thread pool. Includes
+// resources, metrics, queues, sync, the thread pool and PeriodicThread. Includes
 // parameterized property-style sweeps for the serialization codecs and
 // resource algebra.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/buffer.h"
 #include "common/clock.h"
+#include "common/dst.h"
 #include "common/id.h"
 #include "common/metrics.h"
+#include "common/periodic_thread.h"
 #include "common/queue.h"
 #include "common/random.h"
 #include "common/resource.h"
@@ -281,6 +285,87 @@ TEST(SyncTest, NotificationWaitFor) {
   n.Notify();
   EXPECT_TRUE(n.WaitFor(std::chrono::milliseconds(5)));
   EXPECT_TRUE(n.HasBeenNotified());
+}
+
+// --- PeriodicThread ---
+
+TEST(PeriodicThreadTest, TicksArriveAtTheInterval) {
+  constexpr int64_t kIntervalUs = 10'000;
+  Mutex mu;
+  std::vector<int64_t> ticks;
+  PeriodicThread thread(kIntervalUs, [&] {
+    MutexLock lock(mu);
+    ticks.push_back(NowMicros());
+  });
+  const int64_t deadline = NowMicros() + 5'000'000;
+  for (;;) {
+    {
+      MutexLock lock(mu);
+      if (ticks.size() >= 5 || NowMicros() > deadline) {
+        break;
+      }
+    }
+    SleepMicros(1'000);
+  }
+  thread.Stop();
+  MutexLock lock(mu);
+  ASSERT_GE(ticks.size(), 5u);
+  // Fixed delay: each deadline is taken after the previous tick, so no two
+  // ticks are closer than one interval (minus clock-read granularity).
+  for (size_t i = 1; i < ticks.size(); ++i) {
+    EXPECT_GE(ticks[i] - ticks[i - 1], kIntervalUs - 1'000) << "tick " << i;
+  }
+}
+
+TEST(PeriodicThreadTest, StopWakesALongWaitAtOnce) {
+  std::atomic<int> ticks{0};
+  PeriodicThread thread(10'000'000, [&] { ticks.fetch_add(1); });
+  SleepMicros(5'000);  // let the thread enter its wait
+  Timer timer;
+  thread.Stop();
+  EXPECT_LT(timer.ElapsedMicros(), 100'000);
+  EXPECT_EQ(ticks.load(), 0);
+}
+
+TEST(PeriodicThreadTest, StopIsIdempotentAndFinal) {
+  std::atomic<int> ticks{0};
+  PeriodicThread thread(1'000, [&] { ticks.fetch_add(1); });
+  const int64_t deadline = NowMicros() + 5'000'000;
+  while (ticks.load() < 3 && NowMicros() < deadline) {
+    SleepMicros(1'000);
+  }
+  thread.Stop();
+  const int after_stop = ticks.load();
+  EXPECT_GE(after_stop, 3);
+  thread.Stop();
+  SleepMicros(20'000);
+  EXPECT_EQ(ticks.load(), after_stop) << "tick ran after Stop() returned";
+}
+
+TEST(PeriodicThreadTest, TickRunsInTheGivenClockDomain) {
+  struct SkewGuard {
+    ~SkewGuard() { dst::ResetClockDomains(); }
+  } guard;
+  // A skewed domain turns the time hooks on, so the wait below takes the
+  // sliced native path; Stop() must still wake it at once.
+  constexpr uint32_t kDomain = 7;
+  dst::SetClockDomainSkew(kDomain, 250'000, 10'000);
+  std::atomic<uint32_t> seen{0};
+  Notification ticked;
+  {
+    PeriodicThread thread(1'000, [&] {
+      seen.store(dst::CurrentClockDomain());
+      ticked.Notify();
+    }, kDomain);
+    ASSERT_TRUE(ticked.WaitFor(std::chrono::seconds(5)));
+  }
+  EXPECT_EQ(seen.load(), kDomain);
+
+  PeriodicThread idle(10'000'000, [] {}, kDomain);
+  SleepMicros(5'000);
+  Timer timer;
+  idle.Stop();
+  EXPECT_LT(timer.ElapsedMicros(), 100'000);
 }
 
 TEST(ThreadPoolTest, RunsAllSubmittedWork) {

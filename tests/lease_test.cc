@@ -302,16 +302,43 @@ TEST(LeaseClusterTest, LineageDurableBeforeOutputsVisibleAcrossKill) {
   Cluster cluster(config);
   cluster.RegisterFunction("add_one", &AddOne);
 
+  auto output_visible_or_done = [&](const ObjectId& ref) {
+    auto locations = cluster.tables().objects.GetLocations(ref);
+    if (locations.ok() && !locations->locations.empty()) {
+      return true;
+    }
+    auto task = cluster.tables().objects.GetCreatingTask(ref);
+    if (!task.ok()) {
+      return false;
+    }
+    auto state = cluster.tables().tasks.GetState(*task);
+    return state.ok() && state->first == gcs::TaskState::kDone;
+  };
+
   NodeId doomed = cluster.node(0).id();
   std::vector<ObjectId> refs;
+  ObjectId first_ref;
+  std::atomic<bool> first_submitted{false};
+  // Kill as soon as the first output is visible, with later submissions and
+  // their lineage flushes still in flight. A fixed delay instead could let
+  // the kill race ahead of every task on a loaded host.
   std::thread killer([&] {
-    SleepMicros(2'000);
+    const int64_t deadline = NowMicros() + 30'000'000;
+    while (NowMicros() < deadline &&
+           !(first_submitted.load(std::memory_order_acquire) &&
+             output_visible_or_done(first_ref))) {
+      SleepMicros(100);
+    }
     cluster.KillNode(0);
   });
   for (int i = 0; i < 5'000; ++i) {
     TaskSpec spec = MakeAddOneSpec(i);
     if (cluster.SubmitTask(spec, doomed).ok()) {
       refs.push_back(spec.ReturnId(0));
+      if (refs.size() == 1) {
+        first_ref = refs.front();
+        first_submitted.store(true, std::memory_order_release);
+      }
     }
     if (!cluster.node(0).IsAlive()) {
       break;
@@ -321,18 +348,11 @@ TEST(LeaseClusterTest, LineageDurableBeforeOutputsVisibleAcrossKill) {
 
   int visible = 0;
   for (const ObjectId& ref : refs) {
-    auto locations = cluster.tables().objects.GetLocations(ref);
-    bool output_visible = locations.ok() && !locations->locations.empty();
-    auto task = cluster.tables().objects.GetCreatingTask(ref);
-    bool done = false;
-    if (task.ok()) {
-      auto state = cluster.tables().tasks.GetState(*task);
-      done = state.ok() && state->first == gcs::TaskState::kDone;
-    }
-    if (!output_visible && !done) {
+    if (!output_visible_or_done(ref)) {
       continue;  // never became visible; the invariant says nothing
     }
     ++visible;
+    auto task = cluster.tables().objects.GetCreatingTask(ref);
     ASSERT_TRUE(task.ok()) << "visible output with no creating-task record";
     auto spec = cluster.tables().tasks.GetSpec(*task);
     ASSERT_TRUE(spec.ok()) << "visible output but lineage spec not durable";

@@ -262,6 +262,28 @@ TEST_F(GlobalPlacementTest, AvoidsBusyNode) {
   WaitForExecuted(6, 30'000'000);
 }
 
+// Shutdown wakes the heartbeat loop instead of sleeping out its interval.
+TEST(LocalSchedulerShutdownTest, ShutdownDoesNotWaitOutTheHeartbeatInterval) {
+  gcs::Gcs gcs(gcs::GcsConfig{});
+  gcs::GcsTables tables(&gcs);
+  SimNetwork net(NetConfig{});
+  LocalSchedulerRegistry registry;
+  GlobalSchedulerPool global(1, &tables, &net, &registry, GlobalSchedulerConfig{});
+  LocalSchedulerConfig config;
+  config.total_resources = ResourceSet::Cpu(1);
+  config.heartbeat_interval_us = 5'000'000;
+  const NodeId node = NodeId::FromRandom();
+  ObjectStore store(node, &tables, &net, ObjectStoreConfig{});
+  LocalScheduler scheduler(node, &tables, &net, &store, &global, config);
+  tables.nodes.RegisterNode(node);
+  registry.Register(node, &scheduler);
+  scheduler.Start([](const TaskSpec&) {}, [](const TaskSpec&) {});
+  SleepMicros(5'000);  // let the heartbeat thread enter its wait
+  Timer timer;
+  scheduler.Shutdown();
+  EXPECT_LT(timer.ElapsedMicros(), 1'000'000);
+}
+
 TEST_F(GlobalPlacementTest, RejectsImpossibleDemand) {
   schedulers_[0]->ReportHeartbeat();
   schedulers_[1]->ReportHeartbeat();

@@ -8,7 +8,7 @@ cd "$(dirname "$0")/.."
 cmake --preset asan >/dev/null
 cmake --build --preset asan -j"$(nproc)" \
   --target fiber_test gcs_test pubsub_test scheduler_test net_objectstore_test pull_manager_test \
-  trace_test lease_test chaos_test serving_test dst_test
+  trace_test lease_test chaos_test serving_test dst_test actor_handle_test raylib_test
 
 export ASAN_OPTIONS="detect_leaks=1:halt_on_error=1"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
@@ -26,6 +26,14 @@ echo "== ASan/UBSan: lease_test =="
 
 echo "== ASan/UBSan: chaos_test =="
 ./build-asan/tests/chaos_test
+
+# A routed actor call waits on its one-round lineage commit, completed by
+# GCS batcher callbacks; concurrent callers on one chain exercise that path.
+echo "== ASan/UBSan: actor_handle_test =="
+./build-asan/tests/actor_handle_test
+
+echo "== ASan/UBSan: raylib_test =="
+./build-asan/tests/raylib_test
 
 # Single-seed mode: clean-drain schedules only — abandoned (deadlocked)
 # exploration runs leak their parked fibers by design, which detect_leaks

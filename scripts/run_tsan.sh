@@ -12,13 +12,15 @@
 #   lease_test           - direct transport: lease grant/revoke races, async lineage
 #   chaos_test           - chaos soak: detector + recovery under seeded faults
 #   serving_test         - serving router event loop, admission atomics, autoscaler
+#   actor_handle_test    - routed actor calls: one-round lineage commit, concurrent callers
+#   raylib_test          - allreduce and the other libraries over routed actor calls
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j"$(nproc)" \
   --target fiber_test gcs_test pubsub_test scheduler_test net_objectstore_test pull_manager_test \
-  trace_test lease_test chaos_test serving_test dst_test
+  trace_test lease_test chaos_test serving_test dst_test actor_handle_test raylib_test
 
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 for t in fiber_test gcs_test pubsub_test scheduler_test net_objectstore_test pull_manager_test trace_test; do
@@ -35,6 +37,14 @@ echo "== TSan: lease_test =="
 
 echo "== TSan: chaos_test =="
 ./build-tsan/tests/chaos_test
+
+# A routed actor call waits on its one-round lineage commit, completed by
+# GCS batcher callbacks; concurrent callers on one chain exercise that path.
+echo "== TSan: actor_handle_test =="
+./build-tsan/tests/actor_handle_test
+
+echo "== TSan: raylib_test =="
+./build-tsan/tests/raylib_test
 
 # Single-seed mode: clean-drain schedules only. Exploration abandons
 # deadlocked runs (leaking their parked fibers by design), which the

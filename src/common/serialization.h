@@ -26,17 +26,16 @@ class Writer {
  public:
   template <typename T>
   std::enable_if_t<std::is_trivially_copyable_v<T>> WritePod(const T& v) {
-    size_t off = bytes_.size();
-    bytes_.resize(off + sizeof(T));
-    std::memcpy(bytes_.data() + off, &v, sizeof(T));
+    WriteBytes(&v, sizeof(T));
   }
 
+  // Appends by copy only — no zero-fill pass over the new bytes. A range
+  // insert grows capacity to exactly fit a payload larger than the current
+  // size, so a big vector written after its length prefix lands in one
+  // allocation.
   void WriteBytes(const void* data, size_t size) {
-    size_t off = bytes_.size();
-    bytes_.resize(off + size);
-    if (size > 0) {
-      std::memcpy(bytes_.data() + off, data, size);
-    }
+    const auto* p = static_cast<const uint8_t*>(data);
+    bytes_.insert(bytes_.end(), p, p + size);
   }
 
   std::shared_ptr<Buffer> Finish() { return std::make_shared<Buffer>(std::move(bytes_)); }
@@ -146,9 +145,15 @@ struct Codec<std::vector<E>> {
     auto n = r.ReadPod<uint64_t>();
     std::vector<E> v;
     if constexpr (std::is_trivially_copyable_v<E> && !detail::HasCustomSerialize<E>::value) {
-      v.resize(n);
       const uint8_t* p = r.ReadBytes(n * sizeof(E));
-      if (n > 0) {
+      if (reinterpret_cast<uintptr_t>(p) % alignof(E) == 0) {
+        // One copy pass straight into the new elements.
+        const E* first = reinterpret_cast<const E*>(p);
+        v.assign(first, first + n);
+      } else if (n > 0) {
+        // A misaligned payload (it follows an odd-sized field) must not be
+        // read through an E*; copy it bytewise into zeroed storage.
+        v.resize(n);
         std::memcpy(v.data(), p, n * sizeof(E));
       }
     } else {

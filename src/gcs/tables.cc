@@ -17,6 +17,7 @@ std::string ActorSpecKey(const ActorId& actor) { return "actor:spec:" + actor.Bi
 std::string ActorLocKey(const ActorId& actor) { return "actor:loc:" + actor.Binary(); }
 std::string ActorCkptKey(const ActorId& actor) { return "actor:ckpt:" + actor.Binary(); }
 std::string ActorSeqKey(const ActorId& actor) { return "actor:seq:" + actor.Binary(); }
+std::string ActorLogKey(const ActorId& actor) { return "actor:log:" + actor.Binary(); }
 std::string HeartbeatKey(const NodeId& node) { return "hb:" + node.Binary(); }
 std::string FunctionKey(const FunctionId& fn) { return "fn:" + fn.Binary(); }
 constexpr const char* kNodesKey = "nodes";
@@ -206,11 +207,16 @@ uint64_t ActorTable::CurrentCallIndex(const ActorId& actor) const {
 }
 
 Status ActorTable::AppendMethod(const ActorId& actor, const TaskId& task) {
-  return gcs_->Append("actor:log:" + actor.Binary(), task.Binary());
+  return gcs_->Append(ActorLogKey(actor), task.Binary());
+}
+
+void ActorTable::AppendMethodAsync(const ActorId& actor, const TaskId& task,
+                                   Gcs::WriteCallback done) {
+  gcs_->AppendAsync(ActorLogKey(actor), task.Binary(), std::move(done));
 }
 
 Result<std::vector<TaskId>> ActorTable::GetMethodLog(const ActorId& actor) const {
-  auto records = gcs_->GetList("actor:log:" + actor.Binary());
+  auto records = gcs_->GetList(ActorLogKey(actor));
   if (!records.ok()) {
     return records.status();
   }

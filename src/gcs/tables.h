@@ -110,6 +110,8 @@ class ActorTable {
   // Ordered log of method-invocation task ids, appended at submission time;
   // replayed (from the last checkpoint) to reconstruct a lost actor.
   Status AppendMethod(const ActorId& actor, const TaskId& task);
+  // Async variant for the one-round lineage commit (see Gcs::AppendAsync).
+  void AppendMethodAsync(const ActorId& actor, const TaskId& task, Gcs::WriteCallback done);
   Result<std::vector<TaskId>> GetMethodLog(const ActorId& actor) const;
 
   // Checkpoint: serialized actor state after `call_index` methods.

@@ -6,6 +6,7 @@
 
 #include "common/clock.h"
 #include "common/logging.h"
+#include "runtime/lineage_buffer.h"
 #include "trace/trace.h"
 
 namespace ray {
@@ -198,22 +199,21 @@ uint64_t Cluster::WaitForClusterEvent(uint64_t seen, int64_t max_wait_us) {
   return event_epoch_;
 }
 
-void Cluster::RecordLineage(const TaskSpec& spec, const NodeId& submitter) {
-  tables_->tasks.AddTask(spec.id, spec.Serialize());
-  tables_->tasks.SetState(spec.id, gcs::TaskState::kPending, submitter);
+void Cluster::RecordLineage(const TaskSpec& spec, const NodeId& pending_node) {
   if (spec.IsActorCreation()) {
     MutexLock lock(known_actors_mu_);
     known_actors_.insert(spec.actor);
   }
-  for (uint32_t i = 0; i < spec.num_returns; ++i) {
-    tables_->objects.RecordCreatingTask(spec.ReturnId(i), spec.id);
+  // One parallel GCS round: every write of the record is in flight at once,
+  // and the caller waits once. Nothing queues the task before this returns,
+  // so a routed task is durable at submit time. The latch is shared with
+  // the callbacks, which may still be unwinding when Wait returns.
+  std::vector<LineageOp> ops = LineageOps(tables_.get(), spec, pending_node);
+  auto latch = std::make_shared<CountDownLatch>(static_cast<int>(ops.size()));
+  for (const LineageOp& op : ops) {
+    op([latch](const Status&) { latch->CountDown(); });
   }
-  if (spec.IsActorCreation() || (spec.IsActorTask() && !spec.actor_method_read_only)) {
-    tables_->objects.RecordCreatingTask(spec.ResultCursor(), spec.id);
-  }
-  if (spec.IsActorTask() && !spec.actor_method_read_only) {
-    tables_->actors.AppendMethod(spec.actor, spec.id);
-  }
+  latch->Wait();
   if (task_graph_) {
     task_graph_->AddTask(spec);
   }
@@ -225,8 +225,8 @@ Status Cluster::SubmitTask(const TaskSpec& spec, const NodeId& from) {
   trace::Span span(trace::Stage::kSubmit, spec.id, ObjectId(), from);
   // Direct transport first: leases a worker and pipelines the task with
   // async lineage, skipping both the per-task scheduler hop and the
-  // synchronous GCS writes below. Declines (actor task, non-local deps, no
-  // lease) fall through to the classic routed path.
+  // lineage round below. Declines (actor task, non-local deps, no lease)
+  // fall through to the classic routed path.
   Node* submitter = FindNode(from);
   if (submitter != nullptr && submitter->IsAlive() && submitter->transport().TrySubmit(spec)) {
     if (task_graph_) {
@@ -234,10 +234,10 @@ Status Cluster::SubmitTask(const TaskSpec& spec, const NodeId& from) {
     }
     return Status::Ok();
   }
-  RecordLineage(spec, from);
   if (spec.IsActorTask()) {
-    return RouteActorTask(spec, from);
+    return SubmitActorTask(spec, from);
   }
+  RecordLineage(spec, from);
   if (!spec.spread_group.empty()) {
     // Spread hint: local submission would anchor the task to the submitter's
     // node, so force the global scheduler, whose Place() ranks candidates by
@@ -249,7 +249,28 @@ Status Cluster::SubmitTask(const TaskSpec& spec, const NodeId& from) {
     // Submitter's node is gone; fall back to global placement.
     return global_->Schedule(spec, from);
   }
-  return local->Submit(spec);
+  // Enqueued here, it sits on `from` — the node the commit's kPending names.
+  return local->Submit(spec, /*pending_recorded=*/true);
+}
+
+Status Cluster::SubmitActorTask(const TaskSpec& spec, const NodeId& from) {
+  // Fast route: read the actor's home first, so the lineage commit's kPending
+  // already names the node the call is queued on and Enqueue need not
+  // rewrite it. No subscription: nothing here waits for a relocation.
+  auto home = tables_->actors.GetLocation(spec.actor);
+  bool live = home.ok() && !liveness_->IsDead(*home) && registry_.Lookup(*home) != nullptr;
+  RecordLineage(spec, live ? *home : from);
+  // Charged as a scheduler hop so injected scheduling latency (Fig. 12b
+  // ablation) applies to every method submission. A failed hop (chaos drop,
+  // home died mid-flight) falls through to the retrying route.
+  if (live && net_->SchedulerHop(from, *home).ok()) {
+    if (LocalScheduler* target = registry_.Lookup(*home)) {
+      target->SubmitPlaced(spec, /*pending_recorded=*/true);
+      return Status::Ok();
+    }
+  }
+  // Creation or recovery in flight, or a transient failure above.
+  return RouteActorTask(spec, from);
 }
 
 Status Cluster::RouteActorTask(const TaskSpec& spec, const NodeId& from) {
@@ -276,17 +297,13 @@ Status Cluster::RouteActorTask(const TaskSpec& spec, const NodeId& from) {
         // already recovering, this returns immediately and the event wait
         // below paces the retry until the relocation publish wakes us.
         RecoverActor(spec.actor);
-      } else {
-        // Charged as a scheduler hop so injected scheduling latency
-        // (Fig. 12b ablation) applies to every method submission. A failed
-        // hop (chaos drop, target died mid-flight) is retryable, not fatal.
-        Status hop = net_->SchedulerHop(from, *loc);
-        if (hop.ok()) {
-          LocalScheduler* target = registry_.Lookup(*loc);
-          if (target != nullptr) {
-            target->SubmitPlaced(spec);
-            return finish(Status::Ok());
-          }
+      } else if (net_->SchedulerHop(from, *loc).ok()) {
+        LocalScheduler* target = registry_.Lookup(*loc);
+        if (target != nullptr) {
+          // kPending may name another node (the submitter, or a home that
+          // has since died): SubmitPlaced rewrites it to this one.
+          target->SubmitPlaced(spec);
+          return finish(Status::Ok());
         }
       }
     }

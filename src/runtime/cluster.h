@@ -133,10 +133,15 @@ class Cluster {
 
  private:
   NodeId AddNodeInternal(const LocalSchedulerConfig& scheduler_config);
+  // Commits an actor method's lineage (kPending at the actor's live home, if
+  // it has one) and routes it there; falls back to RouteActorTask.
+  Status SubmitActorTask(const TaskSpec& spec, const NodeId& from);
   // Routes an actor method to the actor's current node, blocking until the
   // actor has a live location (it may still be being created or recovered).
   Status RouteActorTask(const TaskSpec& spec, const NodeId& from);
-  void RecordLineage(const TaskSpec& spec, const NodeId& submitter);
+  // Writes `spec`'s lineage record (LineageOps) in one parallel GCS round,
+  // with kPending at `pending_node`, and returns once all of it is durable.
+  void RecordLineage(const TaskSpec& spec, const NodeId& pending_node);
 
   // Death-callback fan-out (runs on a GCS publish worker, so everything it
   // does is a cheap enqueue): nudge every surviving node's store/scheduler

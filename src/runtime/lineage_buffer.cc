@@ -4,6 +4,36 @@
 
 namespace ray {
 
+std::vector<LineageOp> LineageOps(gcs::GcsTables* tables, const TaskSpec& spec,
+                                  const NodeId& pending_node) {
+  std::vector<LineageOp> ops;
+  ops.reserve(spec.num_returns + 4);
+  ops.push_back([tables, id = spec.id, bytes = spec.Serialize()](gcs::Gcs::WriteCallback done) {
+    tables->tasks.AddTaskAsync(id, bytes, std::move(done));
+  });
+  ops.push_back([tables, id = spec.id, pending_node](gcs::Gcs::WriteCallback done) {
+    tables->tasks.SetStateAsync(id, gcs::TaskState::kPending, pending_node, std::move(done));
+  });
+  auto link = [&](const ObjectId& object) {
+    ops.push_back([tables, object, id = spec.id](gcs::Gcs::WriteCallback done) {
+      tables->objects.RecordCreatingTaskAsync(object, id, std::move(done));
+    });
+  };
+  for (uint32_t i = 0; i < spec.num_returns; ++i) {
+    link(spec.ReturnId(i));
+  }
+  const bool stateful_method = spec.IsActorTask() && !spec.actor_method_read_only;
+  if (spec.IsActorCreation() || stateful_method) {
+    link(spec.ResultCursor());
+  }
+  if (stateful_method) {
+    ops.push_back([tables, actor = spec.actor, id = spec.id](gcs::Gcs::WriteCallback done) {
+      tables->actors.AppendMethodAsync(actor, id, std::move(done));
+    });
+  }
+  return ops;
+}
+
 LineageBuffer::LineageBuffer(gcs::GcsTables* tables, const LineageBufferConfig& config)
     : tables_(tables), config_(config) {}
 
@@ -17,7 +47,7 @@ LineageBuffer::~LineageBuffer() {
 }
 
 uint64_t LineageBuffer::Record(const TaskSpec& spec, const NodeId& node) {
-  std::string spec_bytes = spec.Serialize();
+  std::vector<LineageOp> ops = LineageOps(tables_, spec, node);
   uint64_t seq;
   {
     MutexLock lock(mu_);
@@ -26,7 +56,7 @@ uint64_t LineageBuffer::Record(const TaskSpec& spec, const NodeId& node) {
     }
     seq = next_seq_++;
     PendingRecord rec;
-    rec.remaining_ops = 2 + static_cast<int>(spec.num_returns);
+    rec.remaining_ops = static_cast<int>(ops.size());
     rec.task = spec.id;
     pending_.emplace(seq, rec);
     task_seq_[spec.id] = seq;
@@ -34,11 +64,8 @@ uint64_t LineageBuffer::Record(const TaskSpec& spec, const NodeId& node) {
   records_.fetch_add(1, std::memory_order_relaxed);
   // Fire outside mu_: the async calls take the shard batcher locks, and with
   // batching disabled they complete (and call OnOpDone) inline.
-  auto done = [this, seq](Status s) { OnOpDone(seq, std::move(s)); };
-  tables_->tasks.AddTaskAsync(spec.id, spec_bytes, done);
-  tables_->tasks.SetStateAsync(spec.id, gcs::TaskState::kPending, node, done);
-  for (uint32_t i = 0; i < spec.num_returns; ++i) {
-    tables_->objects.RecordCreatingTaskAsync(spec.ReturnId(i), spec.id, done);
+  for (const LineageOp& op : ops) {
+    op([this, seq](Status s) { OnOpDone(seq, std::move(s)); });
   }
   return seq;
 }

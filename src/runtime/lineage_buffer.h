@@ -1,10 +1,11 @@
-// Asynchronous lineage commit for the direct task transport. The classic
-// submit path writes a task's lineage (spec, pending state, creating-task
-// links) synchronously — three chain-replication rounds on the critical path
-// of every Call. The direct path instead records through this buffer: the
-// writes are fired into the GCS group-commit batchers immediately and the
-// caller returns without waiting; a per-record completion count and a
-// durability watermark advance as the batched rounds commit.
+// Asynchronous lineage commit for the direct task transport. The routed
+// submit path (Cluster::RecordLineage) fires a task's lineage writes
+// (LineageOps, below) all at once and waits for them — one parallel GCS
+// round on the critical path of every routed Call. The direct path instead
+// records through this buffer: the same writes are fired into the GCS
+// group-commit batchers and the caller returns without waiting; a
+// per-record completion count and a durability watermark advance as the
+// batched rounds commit.
 //
 // Durability invariant (what keeps reconstruction and the location-log logic
 // correct): a task's outputs must never become visible — neither the kDone
@@ -21,8 +22,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <unordered_map>
+#include <vector>
 
 #include "common/id.h"
 #include "common/sync.h"
@@ -30,6 +33,18 @@
 #include "task/task_spec.h"
 
 namespace ray {
+
+// One write of a task's lineage record, fired through the GCS async API;
+// `done` runs once the write is durable.
+using LineageOp = std::function<void(gcs::Gcs::WriteCallback done)>;
+
+// The single definition of a task's lineage record: the spec, the kPending
+// state at `pending_node`, the creating-task link of every return and, for
+// actor creations and stateful methods, the cursor link (plus the
+// method-log append for methods). The writes are independent, so callers
+// fire them all at once and wait (or count) once.
+std::vector<LineageOp> LineageOps(gcs::GcsTables* tables, const TaskSpec& spec,
+                                  const NodeId& pending_node);
 
 struct LineageBufferConfig {
   // Max records (tasks) with writes still in flight before Record blocks.
@@ -46,9 +61,9 @@ class LineageBuffer {
   LineageBuffer(const LineageBuffer&) = delete;
   LineageBuffer& operator=(const LineageBuffer&) = delete;
 
-  // Records the full lineage of a plain task asynchronously: the spec, the
-  // kPending state at `node`, and the creating-task link for each return.
-  // Returns the record's sequence number (1-based, monotonic).
+  // Records the full lineage of a task (LineageOps) asynchronously, with
+  // kPending at `node`. Returns the record's sequence number (1-based,
+  // monotonic).
   uint64_t Record(const TaskSpec& spec, const NodeId& node);
 
   // Blocks until record `seq` is durable.

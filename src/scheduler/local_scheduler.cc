@@ -149,7 +149,7 @@ void LocalScheduler::SetObjectUnreachableHandler(ObjectUnreachableHandler handle
   unreachable_handler_ = std::move(handler);
 }
 
-Status LocalScheduler::Submit(const TaskSpec& spec) {
+Status LocalScheduler::Submit(const TaskSpec& spec, bool pending_recorded) {
   ResourceSet demand = EffectiveDemand(spec);
   bool available_now;
   {
@@ -161,7 +161,7 @@ Status LocalScheduler::Submit(const TaskSpec& spec) {
   }
   bool overloaded = QueueLength() >= config_.spillover_queue_threshold;
   if (!config_.always_forward_to_global && available_now && !overloaded) {
-    Enqueue(spec);
+    Enqueue(spec, pending_recorded);
     return Status::Ok();
   }
   spilled_.fetch_add(1, std::memory_order_relaxed);
@@ -172,12 +172,16 @@ Status LocalScheduler::Submit(const TaskSpec& spec) {
   return global_->Schedule(spec, node_);
 }
 
-void LocalScheduler::SubmitPlaced(const TaskSpec& spec) { Enqueue(spec); }
+void LocalScheduler::SubmitPlaced(const TaskSpec& spec, bool pending_recorded) {
+  Enqueue(spec, pending_recorded);
+}
 
-void LocalScheduler::Enqueue(const TaskSpec& spec) {
+void LocalScheduler::Enqueue(const TaskSpec& spec, bool pending_recorded) {
   // Track which node holds the task; reconstruction uses this to tell
   // in-flight tasks from ones lost with a dead node's queue.
-  tables_->tasks.SetState(spec.id, gcs::TaskState::kPending, node_);
+  if (!pending_recorded) {
+    tables_->tasks.SetState(spec.id, gcs::TaskState::kPending, node_);
+  }
   std::vector<ObjectId> to_fetch;
   bool ready_now = false;
   {
@@ -308,20 +312,29 @@ void LocalScheduler::HandlePullFailure(const ObjectId& object, const Status& sta
   }
   auto entry = tables_->objects.GetLocations(object);
   bool any_alive = false;
+  bool listed_here = false;
   if (entry.ok()) {
     for (const NodeId& src : entry->locations) {
-      if (src != node_ && (liveness_ == nullptr || liveness_->IsAlive(src))) {
+      if (src == node_) {
+        listed_here = true;
+      } else if (liveness_ == nullptr || liveness_->IsAlive(src)) {
         any_alive = true;
-        break;
       }
     }
   }
-  if (any_alive) {
-    // A replica looks alive in the detected view: retry rather than waiting
-    // for the heartbeat tick. Pace the retry — inside the detection window a
-    // freshly-crashed replica still reads as alive here and fails instantly
-    // on the pull, and an unpaced loop would spin hot until the monitor
-    // declares the node dead.
+  if (listed_here && store_->ContainsLocal(object)) {
+    // The object landed here while the pull was failing (its producer ran
+    // on this node): not a lost object, just a late local arrival.
+    OnObjectLocal(object);
+    return;
+  }
+  if (any_alive || listed_here) {
+    // A replica looks alive in the detected view, or this node is listed
+    // but its copy is not visible yet (or is being deleted): retry rather
+    // than waiting for the heartbeat tick. Pace the retry — inside the
+    // detection window a freshly-crashed replica still reads as alive here
+    // and fails instantly on the pull, and an unpaced loop would spin hot
+    // until the monitor declares the node dead.
     SleepMicros(2'000);
     if (!shutdown_.load(std::memory_order_relaxed)) {
       FetchJob(object);

@@ -154,10 +154,12 @@ class LocalScheduler {
   void Shutdown();
 
   // Bottom-up entry point for tasks created on this node.
-  Status Submit(const TaskSpec& spec);
+  // `pending_recorded`: the task's committed kPending state already names
+  // this node, so queueing it here needs no state write of its own.
+  Status Submit(const TaskSpec& spec, bool pending_recorded = false);
   // Entry point for tasks placed here by the global scheduler or routed here
   // because this node hosts the target actor; never spills.
-  void SubmitPlaced(const TaskSpec& spec);
+  void SubmitPlaced(const TaskSpec& spec, bool pending_recorded = false);
 
   // --- direct task transport (worker leasing) ---
   // Grants a lease carving `shape` out of this node's available resources.
@@ -229,7 +231,7 @@ class LocalScheduler {
     std::shared_ptr<WorkerLease> lease;
   };
 
-  void Enqueue(const TaskSpec& spec);
+  void Enqueue(const TaskSpec& spec, bool pending_recorded);
   // Moves ready tasks to workers / actor mailboxes while resources allow.
   // Takes dispatch_mu_ internally; the handoff itself runs unlocked.
   void TryDispatch();

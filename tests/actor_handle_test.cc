@@ -4,6 +4,8 @@
 // make it sound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <thread>
 
 #include "common/clock.h"
@@ -158,6 +160,144 @@ class Counter {
  private:
   int total_ = 0;
 };
+
+// --- routed-call lineage: durable by the time Call returns ---
+
+// Holds the actor for `ms` so calls queued behind it stay kPending.
+class Sleeper {
+ public:
+  int Nap(int ms) {
+    SleepMicros(static_cast<int64_t>(ms) * 1000);
+    return ++naps_;
+  }
+  int Naps() { return naps_; }
+
+ private:
+  int naps_ = 0;
+};
+
+// Reads back, right after Call returned, the lineage record the routed
+// submit committed for the call producing `ref`.
+void ExpectRoutedLineage(Cluster& cluster, const ActorId& actor, const NodeId& home,
+                         const ObjectId& ref, bool stateful) {
+  gcs::GcsTables& tables = cluster.tables();
+  auto task = tables.objects.GetCreatingTask(ref);
+  ASSERT_TRUE(task.ok()) << "return's creating-task link missing";
+  auto bytes = tables.tasks.GetSpec(*task);
+  ASSERT_TRUE(bytes.ok()) << "spec missing";
+  TaskSpec spec = TaskSpec::Deserialize(*bytes);
+  EXPECT_EQ(spec.id, *task);
+  auto state = tables.tasks.GetState(*task);
+  ASSERT_TRUE(state.ok()) << "state missing";
+  EXPECT_EQ(state->first, gcs::TaskState::kPending);
+  EXPECT_EQ(state->second, home) << "kPending must name the actor's node";
+  auto log = tables.actors.GetMethodLog(actor);
+  ASSERT_TRUE(log.ok());
+  bool logged = std::find(log->begin(), log->end(), *task) != log->end();
+  auto cursor = tables.objects.GetCreatingTask(spec.ResultCursor());
+  if (stateful) {
+    ASSERT_TRUE(cursor.ok()) << "cursor's creating-task link missing";
+    EXPECT_EQ(*cursor, *task);
+    EXPECT_TRUE(logged) << "method-log entry missing";
+  } else {
+    // A snapshot shares its cursor with the stateful call it reads after.
+    EXPECT_FALSE(cursor.ok() && *cursor == *task);
+    EXPECT_FALSE(logged) << "read-only calls are not replayed";
+  }
+}
+
+class RoutedLineageTest : public ActorHandleTest {
+ protected:
+  void SetUp() override {
+    ActorHandleTest::SetUp();
+    cluster_->RegisterActorClass<Sleeper>("Sleeper");
+    cluster_->RegisterActorMethod("Sleeper", "Nap", &Sleeper::Nap);
+    cluster_->RegisterActorMethod("Sleeper", "Naps", &Sleeper::Naps, /*read_only=*/true);
+  }
+
+  // A live Sleeper pinned to a node other than the driver's, so kPending at
+  // the submitter and kPending at the actor's node differ; every later call
+  // takes the fast route.
+  ActorHandle LiveSleeper(Ray& ray, NodeId* home) {
+    *home = cluster_->AddNodeWithResources(ResourceSet{{"CPU", 2}, {"tag", 1}});
+    ActorHandle actor = ray.CreateActor("Sleeper", ResourceSet{{"CPU", 1}, {"tag", 1}});
+    auto ready = ray.Get(actor.Call<int>("Naps"), 30'000'000);
+    EXPECT_TRUE(ready.ok());
+    auto loc = cluster_->tables().actors.GetLocation(actor.id());
+    EXPECT_TRUE(loc.ok() && *loc == *home);
+    return actor;
+  }
+};
+
+TEST_F(RoutedLineageTest, StatefulCallIsDurableWhenCallReturns) {
+  Ray ray = Ray::OnNode(*cluster_, 0);
+  NodeId home;
+  ActorHandle actor = LiveSleeper(ray, &home);
+  auto hold = actor.Call<int>("Nap", 500);
+  auto queued = actor.Call<int>("Nap", 0);
+  ExpectRoutedLineage(*cluster_, actor.id(), home, queued.id(), /*stateful=*/true);
+  ExpectRoutedLineage(*cluster_, actor.id(), home, hold.id(), /*stateful=*/true);
+  auto naps = ray.Get(queued, 30'000'000);
+  ASSERT_TRUE(naps.ok());
+  EXPECT_EQ(*naps, 2);
+}
+
+TEST_F(RoutedLineageTest, ReadOnlyCallIsDurableWhenCallReturns) {
+  Ray ray = Ray::OnNode(*cluster_, 0);
+  NodeId home;
+  ActorHandle actor = LiveSleeper(ray, &home);
+  auto hold = actor.Call<int>("Nap", 500);
+  auto snapshot = actor.Call<int>("Naps");
+  ExpectRoutedLineage(*cluster_, actor.id(), home, snapshot.id(), /*stateful=*/false);
+  auto naps = ray.Get(snapshot, 30'000'000);
+  ASSERT_TRUE(naps.ok());
+  EXPECT_EQ(*naps, 1);
+}
+
+// Kills the actor's node while a burst of calls is being submitted: each
+// call must apply exactly once, so the running totals come back as 1..N —
+// a lost call would leave a result unresolved, a doubled one skip a value.
+TEST(RoutedBurstTest, ActorNodeKilledMidBurstDeliversEveryResultOnce) {
+  ClusterConfig config;
+  config.num_nodes = 2;
+  config.scheduler.total_resources = ResourceSet::Cpu(2);
+  config.net.latency_us = 10;
+  config.net.control_latency_us = 5;
+  Cluster cluster(config);
+  cluster.RegisterActorClass<Counter>("Counter");
+  cluster.RegisterActorMethod("Counter", "Bump", &Counter::Bump);
+  // Pin the actor to a tagged node so the kill never takes the driver, and
+  // give recovery a second tagged node to land on.
+  cluster.AddNodeWithResources(ResourceSet{{"CPU", 2}, {"tag", 1}});
+  cluster.AddNodeWithResources(ResourceSet{{"CPU", 2}, {"tag", 1}});
+  Ray ray = Ray::OnNode(cluster, 0);
+  ActorHandle counter = ray.CreateActor("Counter", ResourceSet{{"CPU", 1}, {"tag", 1}});
+  ASSERT_TRUE(ray.Get(counter.Call<int>("Bump", 0), 30'000'000).ok());
+  auto home = cluster.tables().actors.GetLocation(counter.id());
+  ASSERT_TRUE(home.ok());
+  ASSERT_NE(*home, cluster.node(0).id());
+
+  constexpr int kCalls = 60;
+  std::vector<ObjectRef<int>> refs(kCalls);
+  std::atomic<int> submitted{0};
+  std::thread burst([&] {
+    for (int i = 0; i < kCalls; ++i) {
+      refs[i] = counter.Call<int>("Bump", 1);
+      submitted.store(i + 1);
+      SleepMicros(500);
+    }
+  });
+  while (submitted.load() < kCalls / 3) {
+    SleepMicros(200);
+  }
+  cluster.KillNode(*home);
+  burst.join();
+  for (int i = 0; i < kCalls; ++i) {
+    auto r = ray.Get(refs[i], 60'000'000);
+    ASSERT_TRUE(r.ok()) << "call " << i << ": " << r.status().ToString();
+    EXPECT_EQ(*r, i + 1) << "call " << i;
+  }
+}
 
 // Actor density on the fiber runtime: one node hosts 10k actors (each a
 // parked fiber, not an OS thread), they all stay resident simultaneously,

@@ -117,8 +117,21 @@ TEST_P(SerializationSizeTest, StringRoundTrip) {
   EXPECT_EQ(DeserializeValue<std::string>(*buf), s);
 }
 
+TEST_P(SerializationSizeTest, NestedContainerRoundTrip) {
+  // The odd-length key leaves the inner vector's payload misaligned, which
+  // exercises the bytewise read path next to the aligned one.
+  size_t n = GetParam();
+  Rng rng(n + 7);
+  std::vector<std::pair<std::string, std::vector<float>>> original = {
+      {"k", rng.NormalVector(n)}, {"", {}}, {"aligned-", rng.NormalVector(n / 2)}};
+  auto buf = SerializeValue(original);
+  EXPECT_EQ((DeserializeValue<std::vector<std::pair<std::string, std::vector<float>>>>(*buf)),
+            original);
+}
+
+// 2M floats is an 8 MB vector, the size of one allreduce buffer.
 INSTANTIATE_TEST_SUITE_P(Sizes, SerializationSizeTest,
-                         ::testing::Values(0, 1, 2, 7, 64, 1000, 65536));
+                         ::testing::Values(0, 1, 2, 7, 64, 1000, 65536, 2'000'000));
 
 TEST(SerializationTest, NestedContainers) {
   std::vector<std::pair<std::string, std::vector<int>>> v = {

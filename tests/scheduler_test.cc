@@ -122,6 +122,27 @@ TEST_F(SchedulerFixture, TaskWaitsForDependencyThenRuns) {
   EXPECT_TRUE(WaitForExecuted(2));
 }
 
+// A location naming the node itself, while its copy is not yet local, is a
+// late local arrival, not a lost object: the failed pull must retry instead
+// of declaring the object unreachable (which starts a reconstruction).
+TEST_F(SchedulerFixture, SelfListedLocationIsNotReadAsUnreachable) {
+  std::atomic<int> unreachable{0};
+  schedulers_[0]->SetObjectUnreachableHandler(
+      [&](const ObjectId&) { unreachable.fetch_add(1); });
+  TaskSpec producer = MakeTask();
+  ObjectId object = producer.ReturnId(0);
+  ASSERT_TRUE(tables_->objects.AddLocation(object, stores_[0]->node(), 0).ok());
+  TaskSpec consumer = MakeTask();
+  consumer.args.push_back(TaskArg::ByRef(object));
+  ASSERT_TRUE(schedulers_[0]->Submit(consumer).ok());
+  SleepMicros(50'000);  // pulls fail (no remote source) and are retried
+  EXPECT_EQ(unreachable.load(), 0);
+  EXPECT_EQ(executed_.load(), 0u);
+  ASSERT_TRUE(stores_[0]->Put(object, std::make_shared<Buffer>()).ok());
+  EXPECT_TRUE(WaitForExecuted(1));
+  EXPECT_EQ(unreachable.load(), 0);
+}
+
 TEST_F(SchedulerFixture, SpilloverDistributesLoad) {
   exec_sleep_us_ = 20'000;
   // 16 tasks into node 0 (threshold 4, CPU 2): the overflow must spill to

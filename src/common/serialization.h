@@ -145,15 +145,9 @@ struct Codec<std::vector<E>> {
     auto n = r.ReadPod<uint64_t>();
     std::vector<E> v;
     if constexpr (std::is_trivially_copyable_v<E> && !detail::HasCustomSerialize<E>::value) {
+      v.resize(n);
       const uint8_t* p = r.ReadBytes(n * sizeof(E));
-      if (reinterpret_cast<uintptr_t>(p) % alignof(E) == 0) {
-        // One copy pass straight into the new elements.
-        const E* first = reinterpret_cast<const E*>(p);
-        v.assign(first, first + n);
-      } else if (n > 0) {
-        // A misaligned payload (it follows an odd-sized field) must not be
-        // read through an E*; copy it bytewise into zeroed storage.
-        v.resize(n);
+      if (n > 0) {
         std::memcpy(v.data(), p, n * sizeof(E));
       }
     } else {

@@ -208,11 +208,8 @@ void Cluster::RecordLineage(const TaskSpec& spec, const NodeId& pending_node) {
   // and the caller waits once. Nothing queues the task before this returns,
   // so a routed task is durable at submit time. The latch is shared with
   // the callbacks, which may still be unwinding when Wait returns.
-  std::vector<LineageOp> ops = LineageOps(tables_.get(), spec, pending_node);
-  auto latch = std::make_shared<CountDownLatch>(static_cast<int>(ops.size()));
-  for (const LineageOp& op : ops) {
-    op([latch](const Status&) { latch->CountDown(); });
-  }
+  auto latch = std::make_shared<CountDownLatch>(LineageOpCount(spec));
+  FireLineage(tables_.get(), spec, pending_node, [latch](const Status&) { latch->CountDown(); });
   latch->Wait();
   if (task_graph_) {
     task_graph_->AddTask(spec);
@@ -235,7 +232,7 @@ Status Cluster::SubmitTask(const TaskSpec& spec, const NodeId& from) {
     return Status::Ok();
   }
   if (spec.IsActorTask()) {
-    return SubmitActorTask(spec, from);
+    return RouteActorTask(spec, from, /*commit_lineage=*/true);
   }
   RecordLineage(spec, from);
   if (!spec.spread_group.empty()) {
@@ -249,40 +246,24 @@ Status Cluster::SubmitTask(const TaskSpec& spec, const NodeId& from) {
     // Submitter's node is gone; fall back to global placement.
     return global_->Schedule(spec, from);
   }
-  // Enqueued here, it sits on `from` — the node the commit's kPending names.
-  return local->Submit(spec, /*pending_recorded=*/true);
+  return local->Submit(spec);
 }
 
-Status Cluster::SubmitActorTask(const TaskSpec& spec, const NodeId& from) {
-  // Fast route: read the actor's home first, so the lineage commit's kPending
-  // already names the node the call is queued on and Enqueue need not
-  // rewrite it. No subscription: nothing here waits for a relocation.
-  auto home = tables_->actors.GetLocation(spec.actor);
-  bool live = home.ok() && !liveness_->IsDead(*home) && registry_.Lookup(*home) != nullptr;
-  RecordLineage(spec, live ? *home : from);
-  // Charged as a scheduler hop so injected scheduling latency (Fig. 12b
-  // ablation) applies to every method submission. A failed hop (chaos drop,
-  // home died mid-flight) falls through to the retrying route.
-  if (live && net_->SchedulerHop(from, *home).ok()) {
-    if (LocalScheduler* target = registry_.Lookup(*home)) {
-      target->SubmitPlaced(spec, /*pending_recorded=*/true);
-      return Status::Ok();
-    }
-  }
-  // Creation or recovery in flight, or a transient failure above.
-  return RouteActorTask(spec, from);
-}
-
-Status Cluster::RouteActorTask(const TaskSpec& spec, const NodeId& from) {
+Status Cluster::RouteActorTask(const TaskSpec& spec, const NodeId& from, bool commit_lineage) {
   // Location publishes (creation / recovery landing) bump the cluster-event
   // epoch, so the backoff wait below wakes the moment the actor relocates
-  // instead of polling on a fixed cadence.
-  uint64_t sub_token = tables_->actors.SubscribeLocation(
-      spec.actor, [this](const NodeId&) { BumpClusterEvent(); });
+  // instead of polling on a fixed cadence. The fast route (a live home on
+  // the first read) waits for nothing, so the subscription is only taken
+  // once an attempt misses.
+  bool subscribed = false;
+  uint64_t sub_token = 0;
   auto finish = [&](Status s) {
-    tables_->actors.UnsubscribeLocation(spec.actor, sub_token);
+    if (subscribed) {
+      tables_->actors.UnsubscribeLocation(spec.actor, sub_token);
+    }
     return s;
   };
+  NodeId pending_node;  // the node the committed kPending names, if any
   int64_t deadline = NowMicros() + kActorRouteTimeoutUs;
   int64_t backoff_us = 200;
   while (NowMicros() < deadline) {
@@ -291,21 +272,37 @@ Status Cluster::RouteActorTask(const TaskSpec& spec, const NodeId& from) {
     }
     uint64_t epoch = ClusterEventEpoch();
     auto loc = tables_->actors.GetLocation(spec.actor);
-    if (loc.ok()) {
-      if (liveness_->IsDead(*loc) || registry_.Lookup(*loc) == nullptr) {
-        // Dead (or unregistered) home: kick recovery. If another thread is
-        // already recovering, this returns immediately and the event wait
-        // below paces the retry until the relocation publish wakes us.
-        RecoverActor(spec.actor);
-      } else if (net_->SchedulerHop(from, *loc).ok()) {
-        LocalScheduler* target = registry_.Lookup(*loc);
-        if (target != nullptr) {
-          // kPending may name another node (the submitter, or a home that
-          // has since died): SubmitPlaced rewrites it to this one.
-          target->SubmitPlaced(spec);
-          return finish(Status::Ok());
-        }
+    bool live = loc.ok() && !liveness_->IsDead(*loc) && registry_.Lookup(*loc) != nullptr;
+    if (commit_lineage) {
+      // First pass: the lineage is durable before the task is queued
+      // anywhere. kPending names the live home, so queueing there needs no
+      // state write of its own; with creation or recovery in flight it
+      // names the submitter until the task is placed.
+      pending_node = live ? *loc : from;
+      RecordLineage(spec, pending_node);
+      commit_lineage = false;
+    }
+    if (loc.ok() && !live) {
+      // Dead (or unregistered) home: kick recovery. If another thread is
+      // already recovering, this returns immediately and the event wait
+      // below paces the retry until the relocation publish wakes us.
+      RecoverActor(spec.actor);
+    } else if (live && net_->SchedulerHop(from, *loc).ok()) {
+      // Charged as a scheduler hop so injected scheduling latency (Fig. 12b
+      // ablation) applies to every method submission. A failed hop (chaos
+      // drop, home died mid-flight) is retryable, not fatal.
+      if (LocalScheduler* target = registry_.Lookup(*loc)) {
+        target->SubmitPlaced(spec, /*pending_recorded=*/*loc == pending_node);
+        return finish(Status::Ok());
       }
+    }
+    if (!subscribed) {
+      // Subscribe, then re-read at once: a relocation published before the
+      // subscription took hold would otherwise go unseen until the backoff.
+      sub_token = tables_->actors.SubscribeLocation(
+          spec.actor, [this](const NodeId&) { BumpClusterEvent(); });
+      subscribed = true;
+      continue;
     }
     // Creation or recovery still in flight (or a transient failure above):
     // wait for the next cluster event, with capped-exponential backoff as
@@ -348,7 +345,7 @@ void Cluster::ReconstructObject(const ObjectId& object) {
         }
       }
       spec.actor_call_index = tables_->actors.CurrentCallIndex(spec.actor);
-      Status s = RouteActorTask(spec, NodeId());
+      Status s = RouteActorTask(spec, NodeId(), /*commit_lineage=*/false);
       if (!s.ok()) {
         RAY_LOG(WARNING) << "read-only method re-execution failed: " << s.ToString();
       }

@@ -133,13 +133,12 @@ class Cluster {
 
  private:
   NodeId AddNodeInternal(const LocalSchedulerConfig& scheduler_config);
-  // Commits an actor method's lineage (kPending at the actor's live home, if
-  // it has one) and routes it there; falls back to RouteActorTask.
-  Status SubmitActorTask(const TaskSpec& spec, const NodeId& from);
   // Routes an actor method to the actor's current node, blocking until the
   // actor has a live location (it may still be being created or recovered).
-  Status RouteActorTask(const TaskSpec& spec, const NodeId& from);
-  // Writes `spec`'s lineage record (LineageOps) in one parallel GCS round,
+  // With `commit_lineage`, first commits the method's lineage (RecordLineage)
+  // with kPending at the actor's live home, or at `from` if it has none yet.
+  Status RouteActorTask(const TaskSpec& spec, const NodeId& from, bool commit_lineage);
+  // Writes `spec`'s lineage record (FireLineage) in one parallel GCS round,
   // with kPending at `pending_node`, and returns once all of it is durable.
   void RecordLineage(const TaskSpec& spec, const NodeId& pending_node);
 

@@ -4,34 +4,39 @@
 
 namespace ray {
 
-std::vector<LineageOp> LineageOps(gcs::GcsTables* tables, const TaskSpec& spec,
-                                  const NodeId& pending_node) {
-  std::vector<LineageOp> ops;
-  ops.reserve(spec.num_returns + 4);
-  ops.push_back([tables, id = spec.id, bytes = spec.Serialize()](gcs::Gcs::WriteCallback done) {
-    tables->tasks.AddTaskAsync(id, bytes, std::move(done));
-  });
-  ops.push_back([tables, id = spec.id, pending_node](gcs::Gcs::WriteCallback done) {
-    tables->tasks.SetStateAsync(id, gcs::TaskState::kPending, pending_node, std::move(done));
-  });
-  auto link = [&](const ObjectId& object) {
-    ops.push_back([tables, object, id = spec.id](gcs::Gcs::WriteCallback done) {
-      tables->objects.RecordCreatingTaskAsync(object, id, std::move(done));
-    });
-  };
-  for (uint32_t i = 0; i < spec.num_returns; ++i) {
-    link(spec.ReturnId(i));
+namespace {
+
+bool IsStatefulMethod(const TaskSpec& spec) {
+  return spec.IsActorTask() && !spec.actor_method_read_only;
+}
+
+// Actor creations and stateful methods advance the actor's result cursor.
+bool LinksCursor(const TaskSpec& spec) { return spec.IsActorCreation() || IsStatefulMethod(spec); }
+
+}  // namespace
+
+int LineageOpCount(const TaskSpec& spec) {
+  return 2 + static_cast<int>(spec.num_returns) + (LinksCursor(spec) ? 1 : 0) +
+         (IsStatefulMethod(spec) ? 1 : 0);
+}
+
+void FireLineage(gcs::GcsTables* tables, const TaskSpec& spec, const NodeId& pending_node,
+                 const gcs::Gcs::WriteCallback& done) {
+  int fired = 2;
+  tables->tasks.AddTaskAsync(spec.id, spec.Serialize(), done);
+  tables->tasks.SetStateAsync(spec.id, gcs::TaskState::kPending, pending_node, done);
+  for (uint32_t i = 0; i < spec.num_returns; ++i, ++fired) {
+    tables->objects.RecordCreatingTaskAsync(spec.ReturnId(i), spec.id, done);
   }
-  const bool stateful_method = spec.IsActorTask() && !spec.actor_method_read_only;
-  if (spec.IsActorCreation() || stateful_method) {
-    link(spec.ResultCursor());
+  if (LinksCursor(spec)) {
+    tables->objects.RecordCreatingTaskAsync(spec.ResultCursor(), spec.id, done);
+    ++fired;
   }
-  if (stateful_method) {
-    ops.push_back([tables, actor = spec.actor, id = spec.id](gcs::Gcs::WriteCallback done) {
-      tables->actors.AppendMethodAsync(actor, id, std::move(done));
-    });
+  if (IsStatefulMethod(spec)) {
+    tables->actors.AppendMethodAsync(spec.actor, spec.id, done);
+    ++fired;
   }
-  return ops;
+  RAY_CHECK(fired == LineageOpCount(spec));
 }
 
 LineageBuffer::LineageBuffer(gcs::GcsTables* tables, const LineageBufferConfig& config)
@@ -47,7 +52,6 @@ LineageBuffer::~LineageBuffer() {
 }
 
 uint64_t LineageBuffer::Record(const TaskSpec& spec, const NodeId& node) {
-  std::vector<LineageOp> ops = LineageOps(tables_, spec, node);
   uint64_t seq;
   {
     MutexLock lock(mu_);
@@ -56,7 +60,7 @@ uint64_t LineageBuffer::Record(const TaskSpec& spec, const NodeId& node) {
     }
     seq = next_seq_++;
     PendingRecord rec;
-    rec.remaining_ops = static_cast<int>(ops.size());
+    rec.remaining_ops = LineageOpCount(spec);
     rec.task = spec.id;
     pending_.emplace(seq, rec);
     task_seq_[spec.id] = seq;
@@ -64,9 +68,7 @@ uint64_t LineageBuffer::Record(const TaskSpec& spec, const NodeId& node) {
   records_.fetch_add(1, std::memory_order_relaxed);
   // Fire outside mu_: the async calls take the shard batcher locks, and with
   // batching disabled they complete (and call OnOpDone) inline.
-  for (const LineageOp& op : ops) {
-    op([this, seq](Status s) { OnOpDone(seq, std::move(s)); });
-  }
+  FireLineage(tables_, spec, node, [this, seq](Status s) { OnOpDone(seq, std::move(s)); });
   return seq;
 }
 

@@ -1,6 +1,6 @@
 // Asynchronous lineage commit for the direct task transport. The routed
 // submit path (Cluster::RecordLineage) fires a task's lineage writes
-// (LineageOps, below) all at once and waits for them — one parallel GCS
+// (FireLineage, below) all at once and waits for them — one parallel GCS
 // round on the critical path of every routed Call. The direct path instead
 // records through this buffer: the same writes are fired into the GCS
 // group-commit batchers and the caller returns without waiting; a
@@ -22,10 +22,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <unordered_map>
-#include <vector>
 
 #include "common/id.h"
 #include "common/sync.h"
@@ -34,17 +32,15 @@
 
 namespace ray {
 
-// One write of a task's lineage record, fired through the GCS async API;
-// `done` runs once the write is durable.
-using LineageOp = std::function<void(gcs::Gcs::WriteCallback done)>;
-
 // The single definition of a task's lineage record: the spec, the kPending
 // state at `pending_node`, the creating-task link of every return and, for
 // actor creations and stateful methods, the cursor link (plus the
-// method-log append for methods). The writes are independent, so callers
-// fire them all at once and wait (or count) once.
-std::vector<LineageOp> LineageOps(gcs::GcsTables* tables, const TaskSpec& spec,
-                                  const NodeId& pending_node);
+// method-log append for methods). The writes are independent, so this fires
+// them all at once through the GCS async API; `done` runs once per write,
+// LineageOpCount(spec) times in all, possibly inline.
+void FireLineage(gcs::GcsTables* tables, const TaskSpec& spec, const NodeId& pending_node,
+                 const gcs::Gcs::WriteCallback& done);
+int LineageOpCount(const TaskSpec& spec);
 
 struct LineageBufferConfig {
   // Max records (tasks) with writes still in flight before Record blocks.
@@ -61,7 +57,7 @@ class LineageBuffer {
   LineageBuffer(const LineageBuffer&) = delete;
   LineageBuffer& operator=(const LineageBuffer&) = delete;
 
-  // Records the full lineage of a task (LineageOps) asynchronously, with
+  // Records the full lineage of a task (FireLineage) asynchronously, with
   // kPending at `node`. Returns the record's sequence number (1-based,
   // monotonic).
   uint64_t Record(const TaskSpec& spec, const NodeId& node);

@@ -149,7 +149,7 @@ void LocalScheduler::SetObjectUnreachableHandler(ObjectUnreachableHandler handle
   unreachable_handler_ = std::move(handler);
 }
 
-Status LocalScheduler::Submit(const TaskSpec& spec, bool pending_recorded) {
+Status LocalScheduler::Submit(const TaskSpec& spec) {
   ResourceSet demand = EffectiveDemand(spec);
   bool available_now;
   {
@@ -161,7 +161,7 @@ Status LocalScheduler::Submit(const TaskSpec& spec, bool pending_recorded) {
   }
   bool overloaded = QueueLength() >= config_.spillover_queue_threshold;
   if (!config_.always_forward_to_global && available_now && !overloaded) {
-    Enqueue(spec, pending_recorded);
+    Enqueue(spec, /*pending_recorded=*/true);
     return Status::Ok();
   }
   spilled_.fetch_add(1, std::memory_order_relaxed);
@@ -322,15 +322,9 @@ void LocalScheduler::HandlePullFailure(const ObjectId& object, const Status& sta
       }
     }
   }
-  if (listed_here && store_->ContainsLocal(object)) {
-    // The object landed here while the pull was failing (its producer ran
-    // on this node): not a lost object, just a late local arrival.
-    OnObjectLocal(object);
-    return;
-  }
   if (any_alive || listed_here) {
     // A replica looks alive in the detected view, or this node is listed
-    // but its copy is not visible yet (or is being deleted): retry rather
+    // (its own copy is landing; the retry's FetchJob takes it): retry rather
     // than waiting for the heartbeat tick. Pace the retry — inside the
     // detection window a freshly-crashed replica still reads as alive here
     // and fails instantly on the pull, and an unpaced loop would spin hot

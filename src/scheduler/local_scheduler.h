@@ -153,12 +153,15 @@ class LocalScheduler {
   void Start(Executor executor, ActorDispatcher actor_dispatcher);
   void Shutdown();
 
-  // Bottom-up entry point for tasks created on this node.
-  // `pending_recorded`: the task's committed kPending state already names
-  // this node, so queueing it here needs no state write of its own.
-  Status Submit(const TaskSpec& spec, bool pending_recorded = false);
+  // Bottom-up entry point for tasks created on this node. Precondition: the
+  // caller has committed the task's lineage with kPending naming this node,
+  // so queueing it here needs no state write of its own (a spill re-places
+  // it through the global scheduler, which rewrites kPending).
+  Status Submit(const TaskSpec& spec);
   // Entry point for tasks placed here by the global scheduler or routed here
   // because this node hosts the target actor; never spills.
+  // `pending_recorded`: the task's committed kPending state already names
+  // this node, so queueing it here needs no state write of its own.
   void SubmitPlaced(const TaskSpec& spec, bool pending_recorded = false);
 
   // --- direct task transport (worker leasing) ---

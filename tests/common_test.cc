@@ -118,8 +118,8 @@ TEST_P(SerializationSizeTest, StringRoundTrip) {
 }
 
 TEST_P(SerializationSizeTest, NestedContainerRoundTrip) {
-  // The odd-length key leaves the inner vector's payload misaligned, which
-  // exercises the bytewise read path next to the aligned one.
+  // The odd-length key leaves the inner vector's payload misaligned in the
+  // buffer; the read must copy it out bytewise, not load through a float*.
   size_t n = GetParam();
   Rng rng(n + 7);
   std::vector<std::pair<std::string, std::vector<float>>> original = {
